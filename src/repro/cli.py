@@ -467,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dec_compact = decisions_sub.add_parser(
         "compact",
-        help="drop lines replay ignores (orientation duplicates and "
-        "exact repeats; first verdict per pair wins) — replaying the "
-        "compacted log is byte-for-byte equivalent",
+        help="drop lines replay ignores (exact repeats and cycle-closing "
+        "orientation duplicates; first verdict per orientation wins) — "
+        "replaying the compacted log is equivalent",
     )
     dec_compact.add_argument("log", help="the decisions.jsonl file")
     dec_compact.add_argument(
@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec_diff = decisions_sub.add_parser(
         "diff",
         help="compare two logs by their effective verdicts (first per "
-        "pair, either orientation); exits 1 when they differ",
+        "orientation, else the mirrored one); exits 1 when they differ",
     )
     dec_diff.add_argument("log_a", help="first decisions.jsonl")
     dec_diff.add_argument("log_b", help="second decisions.jsonl")

@@ -23,32 +23,51 @@ import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import DEFAULT_CONFIG, Config
-from .functions import ConstantStr, Prefix, StringFunction, SubStr, Suffix, label_sort_key
-from .positions import position_candidates
+from .functions import Prefix, StringFunction, Suffix
+from .labels import LabelTable
+from .positions import position_ids
 from .terms import DEFAULT_VOCABULARY, MatchContext, TermVocabulary
 
 Edge = Tuple[int, int]
 
 
 class TransformationGraph:
-    """The DAG of all consistent programs for one replacement."""
+    """The DAG of all consistent programs for one replacement.
 
-    __slots__ = ("source", "target", "edges", "out_edges", "gid")
+    ``edges``/``out_edges`` hold the label objects; ``ids``/``out_ids``
+    hold the same labels, in the same order, as ids of the
+    :class:`~repro.core.labels.LabelTable` ``table`` — the view the
+    inverted index and the pivot search work on.
+    """
+
+    __slots__ = (
+        "source", "target", "edges", "out_edges", "gid", "table", "ids", "out_ids",
+    )
 
     def __init__(
         self,
         source: str,
         target: str,
         edges: Dict[Edge, Tuple[StringFunction, ...]],
+        table: Optional[LabelTable] = None,
+        ids: Optional[Dict[Edge, Tuple[int, ...]]] = None,
     ) -> None:
         self.source = source
         self.target = target
         self.edges = edges
         self.gid: int = -1  # assigned when registered in an index
-        out: Dict[int, List[Tuple[int, Tuple[StringFunction, ...]]]] = {}
-        for (i, j), labels in sorted(edges.items()):
-            out.setdefault(i, []).append((j, labels))
-        self.out_edges = out
+        self.out_edges = _out_edges(edges)
+        self.table: Optional[LabelTable] = None
+        self.ids: Dict[Edge, Tuple[int, ...]] = {}
+        self.out_ids: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+        if table is not None and ids is not None:
+            self.bind(table, ids)
+
+    def bind(self, table: LabelTable, ids: Dict[Edge, Tuple[int, ...]]) -> None:
+        """Attach the label-id view of ``edges`` drawn from ``table``."""
+        self.table = table
+        self.ids = ids
+        self.out_ids = _out_edges(ids)
 
     @property
     def num_nodes(self) -> int:
@@ -79,6 +98,7 @@ def build_graph(
     vocabulary: TermVocabulary = DEFAULT_VOCABULARY,
     config: Config = DEFAULT_CONFIG,
     constant_whitelist: Optional[frozenset] = None,
+    table: Optional[LabelTable] = None,
 ) -> Optional[TransformationGraph]:
     """Construct the transformation graph for ``source -> target``.
 
@@ -91,6 +111,9 @@ def build_graph(
     alphanumeric tokens; ``ConstantStr`` labels whose text contains
     other tokens are dropped except on the whole-target edge, which is
     always labeled so every replacement keeps a consistent program.
+
+    Labels are the canonical instances of ``table`` (one per structure
+    bucket when the grouping layer builds; a fresh one otherwise).
     """
     if not target or not source:
         return None
@@ -100,53 +123,77 @@ def build_graph(
     ):
         return None
 
+    if table is None:
+        table = LabelTable()
     ctx = MatchContext(source, vocabulary)
-    positions = position_candidates(
-        ctx, config.max_position_functions, config.boundary_positions_only
+    positions = position_ids(
+        ctx, table, config.max_position_functions, config.boundary_positions_only
     )
-    occurrences = _occurrence_index(source, len(target))
     boundaries = (
         _unit_boundaries(target) if config.aligned_constants else None
     )
 
-    edges: Dict[Edge, List[StringFunction]] = {}
+    edges: Dict[Edge, List[int]] = {}
     n = len(target)
+    limit = config.max_occurrences_per_edge
+    budget = config.max_substr_labels_per_edge
     for i in range(1, n + 1):
+        # A span that does not occur in the source has no occurring
+        # extension either, so the search stops at the first miss.
+        occurs = limit > 0
         for j in range(i + 1, n + 2):
             sub = target[i - 1 : j - 1]
-            labels: List[StringFunction] = []
+            labels: List[int] = []
             if (
                 (boundaries is None or (i in boundaries and j in boundaries))
                 and _constant_admitted(sub, constant_whitelist)
             ) or (i == 1 and j == n + 1):
-                labels.append(ConstantStr(sub))
-            starts = occurrences.get(sub, ())
-            for x in starts[: config.max_occurrences_per_edge]:
-                y = x + len(sub)
-                budget = config.max_substr_labels_per_edge
-                emitted = 0
-                for f in positions.get(x, ()):
-                    for g in positions.get(y, ()):
-                        labels.append(SubStr(f, g))
-                        emitted += 1
+                labels.append(table.constant(sub))
+            if occurs:
+                start = source.find(sub)
+                occurs = start >= 0
+                taken = 0
+                while start >= 0 and taken < limit:
+                    taken += 1
+                    x = start + 1  # 1-based
+                    right = positions.get(x + len(sub), ())
+                    emitted = 0
+                    for f in positions.get(x, ()):
+                        for g in right:
+                            labels.append(table.substr(f, g))
+                            emitted += 1
+                            if emitted >= budget:
+                                break
                         if emitted >= budget:
                             break
-                    if emitted >= budget:
-                        break
-            edges[(i, j)] = labels
+                    start = source.find(sub, start + 1)
+            if labels:
+                edges[(i, j)] = labels
 
     if config.use_affix:
-        _add_affix_labels(ctx, target, edges)
+        _add_affix_labels(ctx, table, target, edges)
 
-    # Unlabeled edges (possible under aligned_constants) are dropped:
-    # Definition 2 gives every span an edge, but an edge without labels
-    # can never appear on a transformation path.
-    frozen: Dict[Edge, Tuple[StringFunction, ...]] = {
-        edge: tuple(sorted(set(labels), key=label_sort_key))
-        for edge, labels in edges.items()
-        if labels
+    # Edges without labels (possible under aligned_constants) are never
+    # stored: Definition 2 gives every span an edge, but an edge without
+    # labels can never appear on a transformation path.
+    keys = table.keys
+    ids: Dict[Edge, Tuple[int, ...]] = {
+        edge: tuple(sorted(set(edges[edge]), key=keys.__getitem__))
+        for edge in sorted(edges)
     }
-    return TransformationGraph(source, target, frozen)
+    functions = table.labels
+    frozen: Dict[Edge, Tuple[StringFunction, ...]] = {
+        edge: tuple(functions[lid] for lid in lids) for edge, lids in ids.items()
+    }
+    return TransformationGraph(source, target, frozen, table, ids)
+
+
+def _out_edges(edges: Dict[Edge, Tuple]) -> Dict[int, List[Tuple[int, Tuple]]]:
+    """``i -> [(j, labels of (i, j))]``, ``j`` ascending."""
+    out: Dict[int, List[Tuple[int, Tuple]]] = {}
+    for (i, j), labels in sorted(edges.items()):
+        out.setdefault(i, []).append((j, labels))
+    return out
 
 
 _ALNUM_TOKEN = re.compile(r"[A-Za-z]+|[0-9]+")
@@ -186,21 +233,11 @@ def _unit_boundaries(target: str) -> frozenset:
     return frozenset(boundaries)
 
 
-def _occurrence_index(source: str, max_len: int) -> Dict[str, Tuple[int, ...]]:
-    """Map every substring of ``source`` (up to ``max_len`` chars) to its
-    1-based start positions."""
-    index: Dict[str, List[int]] = {}
-    n = len(source)
-    for length in range(1, min(n, max_len) + 1):
-        for start in range(n - length + 1):
-            index.setdefault(source[start : start + length], []).append(start + 1)
-    return {sub: tuple(starts) for sub, starts in index.items()}
-
-
 def _add_affix_labels(
     ctx: MatchContext,
+    table: LabelTable,
     target: str,
-    edges: Dict[Edge, List[StringFunction]],
+    edges: Dict[Edge, List[int]],
 ) -> None:
     """Add ``Prefix``/``Suffix`` labels (Appendix D) with the
     longest-affix-only static order (Appendix E).
@@ -213,6 +250,7 @@ def _add_affix_labels(
     """
     n = len(target)
     for term in ctx.vocabulary.regex_terms:
+        tid = table.term(term)
         matches = ctx.matches(term)
         m = len(matches)
         for idx, (x, y) in enumerate(matches, start=1):
@@ -222,20 +260,24 @@ def _add_affix_labels(
             back = idx - m - 1
             # Longest proper prefix of `text` starting at each i in t.
             for i in range(1, n + 1):
+                if target[i - 1] != text[0]:
+                    continue
                 length = _common_prefix_len(target, i - 1, text)
                 length = min(length, len(text) - 1, n + 1 - i)
                 if length >= 1:
-                    edge = (i, i + length)
-                    edges[edge].append(Prefix(term, idx))
-                    edges[edge].append(Prefix(term, back))
+                    labels = edges.setdefault((i, i + length), [])
+                    labels.append(table.affix(Prefix, tid, idx))
+                    labels.append(table.affix(Prefix, tid, back))
             # Longest proper suffix of `text` ending at each j in t.
             for j in range(2, n + 2):
+                if target[j - 2] != text[-1]:
+                    continue
                 length = _common_suffix_len(target, j - 1, text)
                 length = min(length, len(text) - 1, j - 1)
                 if length >= 1:
-                    edge = (j - length, j)
-                    edges[edge].append(Suffix(term, idx))
-                    edges[edge].append(Suffix(term, back))
+                    labels = edges.setdefault((j - length, j), [])
+                    labels.append(table.affix(Suffix, tid, idx))
+                    labels.append(table.affix(Suffix, tid, back))
 
 
 def _common_prefix_len(target: str, start: int, text: str) -> int:

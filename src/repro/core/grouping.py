@@ -22,6 +22,7 @@ from ..config import DEFAULT_CONFIG, Config
 from .functions import ConstantStr
 from .graph import _ALNUM_TOKEN, TransformationGraph, build_graph
 from .index import InvertedIndex
+from .labels import LabelTable
 from .pivot import GlobalBounds, PivotCandidate, SearchStats, search_pivot
 from .program import Program
 from .replacement import Replacement
@@ -127,15 +128,18 @@ def build_graphs(
     """Build graphs + inverted index for one structure group.
 
     Returns the index, the gid -> replacement mapping, and the list of
-    replacements that could not get a graph (oversized strings).
+    replacements that could not get a graph (oversized strings).  The
+    group's graphs share one :class:`~repro.core.labels.LabelTable`,
+    which the index keys its postings by.
     """
-    index = InvertedIndex()
+    table = LabelTable()
+    index = InvertedIndex(table)
     by_gid: Dict[int, Replacement] = {}
     graphless: List[Replacement] = []
     whitelist = constant_whitelist(replacements, config)
     for replacement in replacements:
         graph = build_graph(
-            replacement.lhs, replacement.rhs, vocabulary, config, whitelist
+            replacement.lhs, replacement.rhs, vocabulary, config, whitelist, table
         )
         if graph is None:
             graphless.append(replacement)

@@ -19,7 +19,7 @@ updates and group membership use the complete count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..config import DEFAULT_CONFIG, Config
 from .functions import ConstantStr, StringFunction, label_sort_key
@@ -175,9 +175,9 @@ def search_pivot(
     return best[1]
 
 
-def _state_key(state: PathState) -> Tuple:
+def _state_key(state: PathState) -> FrozenSet:
     """Hashable identity of a posting state (for sibling dedup)."""
-    return tuple(sorted((gid, ends) for gid, ends in state.items()))
+    return frozenset(state.items())
 
 
 def _dfs(
@@ -187,20 +187,24 @@ def _dfs(
     live: Optional[Set[int]],
     node: int,
     state: Optional[PathState],
-    path: List[StringFunction],
+    path: List[int],
     best: List,
     floor: int,
     bounds: Optional[GlobalBounds],
     stats: Optional[SearchStats],
     budget: List,
 ) -> None:
+    """DFS over label ids: ``path`` holds the label ids of the prefix."""
+    keys = index.table.keys
     if node == graph.last_node:
         members = (
             index.complete_members(state, live) if state is not None else ()
         )
         if not members:
             return
-        if all(isinstance(f, ConstantStr) for f in path):
+        labels = index.table.labels
+        functions = tuple(labels[lid] for lid in path)
+        if all(isinstance(f, ConstantStr) for f in functions):
             # An input-independent program ("everything becomes T") is
             # not a transformation: grouping unrelated pairs under it
             # has no generalization value and the expert always rejects
@@ -209,8 +213,8 @@ def _dfs(
         count = len(members)
         candidate = PivotCandidate(
             count,
-            tuple(label_sort_key(f) for f in path),
-            tuple(path),
+            tuple(keys[lid] for lid in path),
+            functions,
             members,
         )
         if stats is not None:
@@ -230,29 +234,31 @@ def _dfs(
         return
 
     prune_local = config.local_threshold
+    prune_global = config.global_threshold
+    posting_size = index.posting_size_id
     # Gather, dedupe, and order the extensions of this node before
     # recursing: exploring the widest-shared extension first raises the
     # local threshold quickly, which is what makes the pruning bite.
-    extensions: Dict[Tuple, Tuple[int, StringFunction, PathState]] = {}
+    extensions: Dict[Tuple, Tuple[int, int, PathState]] = {}
     state_size = len(state) if state is not None else len(index)
-    for j, labels in graph.out_edges.get(node, ()):
-        for label in labels:
+    for j, lids in graph.out_ids.get(node, ()):
+        for lid in lids:
             # Cheap pre-filter: a join can never exceed the label's own
             # posting size, so skip the join outright when it cannot
             # beat the thresholds.
-            cap = min(state_size, index.posting_size(label))
+            cap = min(state_size, posting_size(lid))
             if prune_local and cap <= best[0]:
                 if stats is not None:
                     stats.prunes += 1
                 continue
-            if config.global_threshold and cap < floor:
+            if prune_global and cap < floor:
                 if stats is not None:
                     stats.prunes += 1
                 continue
             if state is None:
-                nxt = index.initial_state(label, live)
+                nxt = index.initial_state_id(lid, live)
             else:
-                nxt = index.extend_state(state, label, live)
+                nxt = index.extend_state_id(state, lid, live)
             size = len(nxt)
             if size == 0:
                 continue
@@ -260,20 +266,20 @@ def _dfs(
                 if stats is not None:
                     stats.prunes += 1
                 continue
-            if config.global_threshold and size < floor:
+            if prune_global and size < floor:
                 if stats is not None:
                     stats.prunes += 1
                 continue
             key = (j, _state_key(nxt))
             held = extensions.get(key)
-            if held is None or label_sort_key(label) < label_sort_key(held[1]):
-                extensions[key] = (size, label, nxt)
+            if held is None or keys[lid] < keys[held[1]]:
+                extensions[key] = (size, lid, nxt)
 
     ordered = sorted(
         extensions.items(),
-        key=lambda item: (-item[1][0], label_sort_key(item[1][1])),
+        key=lambda item: (-item[1][0], keys[item[1][1]]),
     )
-    for (j, _skey), (size, label, nxt) in ordered:
+    for (j, _skey), (size, lid, nxt) in ordered:
         # Thresholds may have tightened while exploring siblings.
         if prune_local and size <= best[0]:
             if stats is not None:
@@ -284,7 +290,7 @@ def _dfs(
         budget[0] -= 1
         if stats is not None:
             stats.expansions += 1
-        path.append(label)
+        path.append(lid)
         _dfs(
             graph,
             index,
@@ -316,10 +322,10 @@ def initial_upper_bound(
     """
     n = len(graph.target)
     ub = [0] * (n + 1)  # 1-based positions 1..n
-    for (i, j), labels in graph.edges.items():
+    for (i, j), lids in graph.ids.items():
         edge_max = 0
-        for label in labels:
-            size = index.posting_size_live(label, live)
+        for lid in lids:
+            size = index.posting_size_live_id(lid, live)
             if size > edge_max:
                 edge_max = size
         for k in range(i, j):

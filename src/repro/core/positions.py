@@ -151,34 +151,54 @@ def position_candidates(
     ``SubStr``, which kills the degenerate per-character extraction
     programs — the affix functions (Appendix D) cover legitimate
     mid-token cuts instead.
+
+    Graph construction uses the id form, :func:`position_ids`, against
+    its structure bucket's :class:`~repro.core.labels.LabelTable`.
     """
-    s = ctx.s
-    table: Dict[int, List[PositionFunction]] = {
-        k: [] for k in range(1, len(s) + 2)
+    from .labels import LabelTable  # local: labels imports this module
+
+    labels = LabelTable()
+    table = position_ids(ctx, labels, max_per_position, boundaries_only)
+    return {
+        k: [labels.positions[pid] for pid in pids]
+        for k, pids in table.items()
     }
+
+
+def position_ids(
+    ctx: MatchContext,
+    labels,
+    max_per_position: int = 0,
+    boundaries_only: bool = False,
+) -> Dict[int, List[int]]:
+    """:func:`position_candidates` as position ids of ``labels``."""
+    s = ctx.s
+    table: Dict[int, List[int]] = {k: [] for k in range(1, len(s) + 2)}
     for term in ctx.vocabulary.all_terms:
+        tid = labels.term(term)
         matches = ctx.matches(term)
         m = len(matches)
         for idx, (x, y) in enumerate(matches, start=1):
             back = idx - m - 1
-            table[x].append(MatchPos(term, idx, BEGIN))
-            table[x].append(MatchPos(term, back, BEGIN))
-            table[y].append(MatchPos(term, idx, END))
-            table[y].append(MatchPos(term, back, END))
+            table[x].append(labels.match_pos(tid, idx, BEGIN))
+            table[x].append(labels.match_pos(tid, back, BEGIN))
+            table[y].append(labels.match_pos(tid, idx, END))
+            table[y].append(labels.match_pos(tid, back, END))
     last = len(s) + 1
+    keys = labels.position_keys
     for k in range(1, last + 1):
         if boundaries_only and not table[k] and k not in (1, last):
             continue
-        table[k].append(ConstPos(k))
-        table[k].append(ConstPos(k - len(s) - 2))
-        entries = sorted(set(table[k]), key=_static_key)
+        table[k].append(labels.const_pos(k))
+        table[k].append(labels.const_pos(k - len(s) - 2))
+        entries = sorted(set(table[k]), key=keys.__getitem__)
         if max_per_position > 0:
             entries = entries[:max_per_position]
         table[k] = entries
     return table
 
 
-def _static_key(fn: PositionFunction) -> Tuple:
+def position_sort_key(fn: PositionFunction) -> Tuple:
     """Total static order: MatchPos-regex < MatchPos-const < ConstPos."""
     if isinstance(fn, MatchPos):
         head = 0 if isinstance(fn.term, RegexTerm) else 1

@@ -58,15 +58,21 @@ _NON_METRIC_FIELDS = {
     "rows",
 }
 
-#: headline-field name fragments that mean *higher* is better; every
-#: other numeric field (seconds, overheads, byte counts) gates as
-#: lower-is-better, the conservative default for a perf gate.
-_HIGHER_IS_BETTER = ("speedup", "throughput", "ratio", "per_second")
+#: headline-field name fragments that mean *higher* is better: speed
+#: (speedups, throughputs, rates) and quality (``cells_correct``,
+#: ``correct``).  Every other numeric field (seconds, overheads, byte
+#: counts) gates as lower-is-better, the conservative default for a
+#: perf gate.
+_HIGHER_IS_BETTER = (
+    "speedup", "throughput", "ratio", "per_second", "cells_correct", "correct",
+)
 
 
 def direction_of(field: str) -> str:
     """``"higher"`` or ``"lower"`` — which way the metric improves."""
     lowered = field.lower()
+    if "incorrect" in lowered:
+        return "lower"
     if any(marker in lowered for marker in _HIGHER_IS_BETTER):
         return "higher"
     return "lower"

@@ -144,8 +144,11 @@ class SamplingProfiler:
 
     def rows(self) -> List[Dict[str, object]]:
         """Aggregated ``profile`` rows, heaviest stacks first."""
+        # ``span`` is None outside any span: it must not meet a str in
+        # the comparison when one stack is seen both with and without.
         ordered = sorted(
-            self.counts.items(), key=lambda item: (-item[1], item[0])
+            self.counts.items(),
+            key=lambda item: (-item[1], item[0][0], item[0][1] or ""),
         )
         out: List[Dict[str, object]] = []
         for (stack, span), count in ordered:

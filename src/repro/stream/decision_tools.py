@@ -13,8 +13,9 @@ how do two logs differ (:func:`diff_logs`), and is this log healthy
 
 Everything here is read-only over the log's own line format; the
 authoritative replay semantics stay in
-:class:`~repro.stream.decisions.DecisionCache` (first verdict wins, in
-either orientation), and these functions reimplement exactly that rule
+:class:`~repro.stream.decisions.DecisionCache` (first verdict wins per
+orientation, an exact verdict before a mirrored one), and these
+functions apply its very rule (:func:`~repro.stream.decisions.admits`)
 so their answers match what a resumed stream would do.
 """
 
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..pipeline.oracle import FORWARD, REVERSE
+from ..pipeline.oracle import FORWARD, REVERSE, Decision
+from .decisions import admits
 
 PathLike = Union[str, Path]
 
@@ -48,6 +50,15 @@ class LogEntry:
     def pair(self) -> Tuple[str, str]:
         """Orientation-free identity of the judged value pair."""
         return (min(self.lhs, self.rhs), max(self.lhs, self.rhs))
+
+    @property
+    def key(self) -> Tuple[str, str]:
+        """The judged replacement, orientation included."""
+        return (self.lhs, self.rhs)
+
+    @property
+    def decision(self) -> Decision:
+        return Decision(self.approved, self.direction)
 
     @property
     def outcome(self) -> Tuple[str, ...]:
@@ -123,31 +134,40 @@ def compact_log(
 ) -> Tuple[List[LogEntry], List[LogEntry]]:
     """Split a log into ``(kept, dropped)`` under replay semantics.
 
-    Keeps the first verdict per value pair **in either orientation** —
-    exactly the line set a :class:`DecisionCache` replay would load —
-    and drops every later line for an already-decided pair (the
-    orientation duplicates legacy logs accumulated, plus any exact
-    repeats).  Replaying the compacted log is byte-for-byte equivalent
-    to replaying the original.
+    Keeps exactly the lines a :class:`DecisionCache` replay would load
+    — the first verdict per orientation, plus a reverse-orientation
+    verdict unless it would close an A⇄B rewrite cycle — and drops the
+    rest (exact repeats, and the cycle-closing orientation duplicates
+    legacy logs accumulated).  Replaying the compacted log is
+    equivalent to replaying the original.
     """
-    kept: List[LogEntry] = []
-    dropped: List[LogEntry] = []
-    seen: set = set()
-    for entry in entries:
-        if entry.pair in seen:
-            dropped.append(entry)
-            continue
-        seen.add(entry.pair)
-        kept.append(entry)
+    effective = _effective(entries)
+    kept = [e for e in entries if effective.get(e.key) is e]
+    dropped = [e for e in entries if effective.get(e.key) is not e]
     return kept, dropped
 
 
 def _effective(entries: List[LogEntry]) -> Dict[Tuple[str, str], LogEntry]:
-    """Pair -> the entry replay would honor (first wins)."""
+    """Orientation -> the entry replay loads for it."""
     effective: Dict[Tuple[str, str], LogEntry] = {}
     for entry in entries:
-        effective.setdefault(entry.pair, entry)
+        exact = effective.get(entry.key)
+        reverse = effective.get((entry.rhs, entry.lhs))
+        if admits(
+            exact.decision if exact is not None else None,
+            reverse.decision if reverse is not None else None,
+            entry.decision,
+        ):
+            effective[entry.key] = entry
     return effective
+
+
+def _honored(
+    effective: Dict[Tuple[str, str], LogEntry], key: Tuple[str, str]
+) -> Optional[LogEntry]:
+    """The entry answering ``key``: its own, else its mirror's."""
+    entry = effective.get(key)
+    return entry if entry is not None else effective.get((key[1], key[0]))
 
 
 def diff_logs(
@@ -156,20 +176,27 @@ def diff_logs(
     """Compare two logs by their *effective* verdicts.
 
     Returns ``only_a`` / ``only_b`` (pairs decided in one log only,
-    as their effective entries) and ``conflicts`` (pairs both logs
-    decide, with different outcomes — ``(a_entry, b_entry)`` tuples).
-    Orientation and duplicate lines never count as differences, since
-    replay ignores them.
+    as their effective entries) and ``conflicts`` (orientations both
+    logs answer with different outcomes — ``(a_entry, b_entry)``
+    tuples of the entries each replay honors).  Answering through the
+    mirrored orientation is no difference, nor are duplicate lines.
     """
     a_eff = _effective(a_entries)
     b_eff = _effective(b_entries)
-    only_a = [a_eff[pair] for pair in sorted(a_eff) if pair not in b_eff]
-    only_b = [b_eff[pair] for pair in sorted(b_eff) if pair not in a_eff]
-    conflicts = [
-        (a_eff[pair], b_eff[pair])
-        for pair in sorted(a_eff.keys() & b_eff.keys())
-        if a_eff[pair].outcome != b_eff[pair].outcome
-    ]
+    a_pairs = {entry.pair for entry in a_eff.values()}
+    b_pairs = {entry.pair for entry in b_eff.values()}
+    only_a = [a_eff[k] for k in sorted(a_eff) if a_eff[k].pair not in b_pairs]
+    only_b = [b_eff[k] for k in sorted(b_eff) if b_eff[k].pair not in a_pairs]
+    conflicts = []
+    for key in sorted(a_eff.keys() | b_eff.keys()):
+        a_entry, b_entry = _honored(a_eff, key), _honored(b_eff, key)
+        if (
+            a_entry is not None
+            and b_entry is not None
+            and a_entry.outcome != b_entry.outcome
+            and (a_entry, b_entry) not in conflicts
+        ):
+            conflicts.append((a_entry, b_entry))
     return {"only_a": only_a, "only_b": only_b, "conflicts": conflicts}
 
 
@@ -178,12 +205,13 @@ def audit_log(
 ) -> Dict[str, object]:
     """Health report over one parsed log.
 
-    * ``entries`` / ``effective`` — raw lines vs pairs replay honors;
-    * ``duplicates`` — later lines repeating an already-decided pair
-      with the *same* outcome (harmless; compaction drops them);
-    * ``conflicts`` — later lines repeating a pair with a *different*
-      outcome (first still wins on replay, but the disagreement is
-      review history worth human eyes);
+    * ``entries`` / ``effective`` — raw lines vs verdicts replay
+      loads (one per orientation);
+    * ``duplicates`` — lines replay drops whose outcome equals the
+      verdict it honors for them (harmless; compaction drops them);
+    * ``conflicts`` — dropped lines with a *different* outcome (first
+      still wins on replay, but the disagreement is review history
+      worth human eyes);
     * ``by_source`` / ``approved`` / ``rejected`` — over the effective
       verdicts;
     * ``damage`` — the tail note from :func:`read_log`, if any.
@@ -192,8 +220,8 @@ def audit_log(
     duplicates: List[LogEntry] = []
     conflicts: List[Tuple[LogEntry, LogEntry]] = []
     for entry in entries:
-        first = effective[entry.pair]
-        if first.line == entry.line:
+        first = _honored(effective, entry.key)
+        if first is entry:
             continue
         if entry.outcome == first.outcome:
             duplicates.append(entry)

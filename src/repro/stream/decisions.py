@@ -19,9 +19,10 @@ human-auditable review history.  On construction the cache replays the
 file, so a restarted consolidator answers every already-judged
 variation from the cache — zero repeat oracle questions.
 
-The cache is *first-wins* (matching the in-memory ``dict.setdefault``
-semantics it replaces): once a member replacement has a verdict, later
-verdicts for the same member are ignored, in memory and on disk.
+The cache is *first-wins per orientation* (matching the in-memory
+``dict.setdefault`` semantics it replaces): once a member replacement
+has a verdict, later verdicts for the same member are ignored, in
+memory and on disk.
 
 Lookup is **orientation-aware**: a verdict on ``A -> B`` also answers
 ``B -> A``, with the direction flipped so both resolve to the *same*
@@ -33,6 +34,14 @@ approves both orientations, planting an A⇄B rewrite cycle that the
 replay fixed-point in
 :meth:`~repro.stream.standardizer.IncrementalStandardizer.reuse_confirmed`
 could never escape.
+
+An exact verdict still wins over a mirrored one.  One learn pass can
+ask both orientations of a pair in different groups (both were
+undecided when the pass began) — say ``A -> B`` rejected, then
+``B -> A`` approved and applied.  Both verdicts are kept, so a restart
+replays the rewrite the live run applied instead of the mirrored
+rejection; :func:`admits` is the one rule the cache and the log tools
+(:mod:`repro.stream.decision_tools`) share.
 """
 
 from __future__ import annotations
@@ -46,6 +55,30 @@ from ..core.replacement import Replacement
 from ..pipeline.oracle import FORWARD, REVERSE, Decision
 
 PathLike = Union[str, Path]
+
+
+def admits(
+    exact: Optional[Decision],
+    reverse: Optional[Decision],
+    decision: Decision,
+) -> bool:
+    """Whether a verdict log keeps ``decision`` for a replacement whose
+    own orientation already holds ``exact`` and whose reverse holds
+    ``reverse`` (``None`` when undecided).
+
+    First verdict wins per orientation.  A verdict on the reverse of a
+    judged pair is kept too, unless both approve opposite rewrites
+    (both approved with the same direction label): loading that pair
+    would plant an A⇄B rewrite cycle, so the first approval wins.
+    """
+    if exact is not None:
+        return False
+    return not (
+        reverse is not None
+        and reverse.approved
+        and decision.approved
+        and reverse.direction == decision.direction
+    )
 
 
 def archive_log(path: Optional[Path]) -> Optional[Path]:
@@ -88,18 +121,13 @@ class DecisionCache:
         if self.path is not None and self.path.exists():
             entries, repair = self._read(self.path)
             for replacement, decision in entries:
-                # First wins in *either* orientation, exactly like
-                # :meth:`record`: a log written before lookups were
-                # orientation-aware can hold both A->B and B->A
-                # (approved with conflicting resolved directions);
+                # Exactly :meth:`record`'s rule: a log written before
+                # lookups were orientation-aware can hold both A->B and
+                # B->A approved with conflicting resolved directions;
                 # loading both would replant the rewrite cycle the
                 # mirrored lookup exists to prevent.
-                if (
-                    replacement in self._decisions
-                    or replacement.reversed() in self._decisions
-                ):
-                    continue
-                self._decisions[replacement] = decision
+                if self._admits(replacement, decision):
+                    self._decisions[replacement] = decision
             self.replayed = len(self._decisions)
             # Repair a crash-torn tail *now*: tolerating it on load but
             # leaving it in place would let the next append glue JSON
@@ -133,6 +161,10 @@ class DecisionCache:
             REVERSE if mirrored.direction == FORWARD else FORWARD,
         )
 
+    def exact(self, replacement: Replacement) -> Optional[Decision]:
+        """The verdict recorded for this orientation only."""
+        return self._decisions.get(replacement)
+
     def items(self):
         return self._decisions.items()
 
@@ -153,7 +185,8 @@ class DecisionCache:
         decision: Decision,
         source: Optional[str] = None,
     ) -> bool:
-        """Cache ``decision`` for ``replacement`` (first verdict wins).
+        """Cache ``decision`` for ``replacement`` (first verdict wins,
+        per orientation; see :func:`admits`).
 
         Returns True when the verdict was new; new verdicts are
         immediately appended (and flushed) to the backing file, so a
@@ -165,11 +198,8 @@ class DecisionCache:
         exactly like an asked one — but ``repro decisions audit``
         reports the split.
         """
-        if (
-            replacement in self._decisions
-            or replacement.reversed() in self._decisions
-        ):
-            return False  # first verdict wins, in either orientation
+        if not self._admits(replacement, decision):
+            return False
         self._decisions[replacement] = decision
         if self.path is not None:
             row = {
@@ -186,6 +216,13 @@ class DecisionCache:
                 handle.flush()
                 os.fsync(handle.fileno())
         return True
+
+    def _admits(self, replacement: Replacement, decision: Decision) -> bool:
+        return admits(
+            self._decisions.get(replacement),
+            self._decisions.get(replacement.reversed()),
+            decision,
+        )
 
     # -- replay ------------------------------------------------------------
 

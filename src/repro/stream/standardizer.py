@@ -229,10 +229,13 @@ class IncrementalStandardizer:
                 # the opposite orientation after a restart is the same
                 # judged variation, and skipping it here would leave it
                 # approved-but-never-reapplied (and, being decided, it
-                # can never reach the question feed to recover).
-                if (
-                    replacement not in self.store
-                    and replacement.reversed() not in self.store
+                # can never reach the question feed to recover).  A
+                # reverse orientation with a verdict of its own answers
+                # for itself, exactly as :meth:`partition_live` sees it.
+                if replacement not in self.store and (
+                    replacement.reversed() not in self.store
+                    or self.decisions.exact(replacement.reversed())
+                    is not None
                 ):
                     continue  # no live provenance to rewrite
                 resolved = (

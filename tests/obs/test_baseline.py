@@ -61,6 +61,12 @@ class TestDirection:
         assert direction_of("hit_ratio") == "higher"
         assert direction_of("pairs_per_second") == "higher"
 
+    def test_quality_is_higher_is_better(self):
+        assert direction_of("cells_correct_yield") == "higher"
+        assert direction_of("cells_correct") == "higher"
+        assert direction_of("correct") == "higher"
+        assert direction_of("cells_incorrect") == "lower"
+
     def test_lower_is_better_default(self):
         assert direction_of("seconds") == "lower"
         assert direction_of("enabled_overhead") == "lower"
@@ -189,6 +195,39 @@ class TestCheck:
         by_series = {result.series: result for result in results}
         assert not by_series["kernels:speedup"].ok  # 1.5 < 3.9 / 1.5
         assert by_series["kernels:seconds_total"].ok
+
+    def test_quality_drop_fails(self, tmp_path):
+        for cells in (1284, 1290, 1280):
+            write_bench(
+                tmp_path,
+                "oracle_budget",
+                [{"bench": "oracle_budget", "cells_correct_yield": cells}],
+            )
+        baseline = build_baseline(tmp_path)
+        entry = baseline["metrics"]["oracle_budget:cells_correct_yield"]
+        assert entry["direction"] == "higher"
+        write_bench(
+            tmp_path,
+            "oracle_budget",
+            [{"bench": "oracle_budget", "cells_correct_yield": 600}],
+        )
+        results, _ = check(tmp_path, baseline)
+        (result,) = results
+        assert not result.ok  # 600 < 1284 / 1.5: quality halved
+        # ... while a quality gain passes.
+        write_bench(
+            tmp_path,
+            "oracle_budget",
+            [{"bench": "oracle_budget", "cells_correct_yield": 2000}],
+        )
+        (result,), _ = check(tmp_path, baseline)
+        assert result.ok
+
+    def test_committed_quality_series_gate_upward(self):
+        baseline = load_baseline(REPO_BASELINE)
+        for series, entry in baseline["metrics"].items():
+            if "correct" in series.rsplit(":", 1)[-1]:
+                assert entry["direction"] == "higher", series
 
     def test_missing_series_reported_not_failed(self, tmp_path):
         stable_history(tmp_path, runs=2)

@@ -76,6 +76,20 @@ class TestOutput:
             "count": 5,
         }
 
+    def test_rows_sort_one_stack_with_and_without_span(self, tmp_path):
+        # The same stack and count under a span and under none: the
+        # row order must not compare None with a str.
+        profiler = SamplingProfiler(interval=0.005)
+        profiler.counts = {
+            ("a.py:f;a.py:g", "stream.learn"): 3,
+            ("a.py:f;a.py:g", None): 3,
+        }
+        rows = profiler.rows()
+        assert [row["span"] for row in rows] == [None, "stream.learn"]
+        profiler.write(tmp_path / "profile.jsonl")
+        lines = (tmp_path / "profile.jsonl").read_text().splitlines()
+        assert len(lines) == 3
+
     def test_collapsed_lines_merge_spans(self):
         lines = self.fake().collapsed_lines()
         # Same stack under different spans merges: 5 + 1 = 6.

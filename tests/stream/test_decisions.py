@@ -522,3 +522,150 @@ class TestOrientation:
         assert cache.get(Replacement("a", "b")) == Decision(True, FORWARD)
         # The mirrored key answers with the SAME resolved rewrite.
         assert cache.get(Replacement("b", "a")) == Decision(True, REVERSE)
+
+
+class TestBothOrientationsAsked:
+    """One learn pass can ask both orientations of a pair in different
+    groups: both were undecided when the pass began.  When ``A -> B``
+    is rejected and then ``B -> A`` approved and applied, the log keeps
+    both, so a restart replays the rewrite the live run applied."""
+
+    @staticmethod
+    def table():
+        from repro.data.table import ClusterTable, Record
+
+        table = ClusterTable(["v"])
+        table.add_cluster(
+            "c0",
+            [
+                Record("r0", {"v": "Walnut Avenue, 10064 NY"}),
+                Record("r1", {"v": "Walnut Rd., 10064 NY"}),
+            ],
+        )
+        return table
+
+    @staticmethod
+    def standardizer(table, log):
+        from repro.config import DEFAULT_CONFIG
+        from repro.data.table import CellRef
+        from repro.stream.standardizer import IncrementalStandardizer
+
+        standardizer = IncrementalStandardizer(
+            table, "v", DEFAULT_CONFIG, decisions=log
+        )
+        standardizer.ingest([CellRef(0, 0, "v"), CellRef(0, 1, "v")])
+        return standardizer
+
+    @staticmethod
+    def values(table):
+        return [r.values["v"] for c in table.clusters for r in c.records]
+
+    def test_restart_applies_the_uninterrupted_state(self, tmp_path):
+        log = tmp_path / "decisions.jsonl"
+        canonical = "Walnut Avenue, 10064 NY"
+
+        class Oracle:
+            """Approves only rewrites into the canonical value."""
+
+            asked = []
+
+            def review(self, group):
+                approved = all(
+                    r.rhs == canonical for r in group.replacements
+                )
+                self.asked.extend(group.replacements)
+                return Decision(approved, FORWARD)
+
+        live_table = self.table()
+        live = self.standardizer(live_table, log)
+        oracle = Oracle()
+        live.learn(oracle, budget=10)
+        pair = Replacement("Walnut Avenue, 10064 NY", "Walnut Rd., 10064 NY")
+        # The scenario: both orientations were asked, the rewrite into
+        # the canonical value was approved and applied.
+        assert pair in oracle.asked and pair.reversed() in oracle.asked
+        assert self.values(live_table) == [canonical, canonical]
+
+        reopened = DecisionCache(log)
+        assert reopened.get(pair) == Decision(False, FORWARD)
+        assert reopened.get(pair.reversed()) == Decision(True, FORWARD)
+
+        restart_table = self.table()
+        restarted = self.standardizer(restart_table, log)
+        approved, _rejected, undecided = restarted.partition_live()
+        assert not undecided  # zero repeat questions
+        restarted.reuse_confirmed(approved)
+        assert self.values(restart_table) == self.values(live_table)
+
+    def test_stream_log_answers_every_member_as_asked(self, tmp_path):
+        """The reproduction on a generated stream: Address at seed 37,
+        budget 20, the engine on.  Its second batch asks
+        ``'Walnut Avenue, 10064 NY' -> 'Walnut Rd., 10064 NY'``
+        (rejected) and then the reverse (approved)."""
+        full = dataset_stream(
+            address_dataset(scale=0.5, seed=37), batches=10, seed=37
+        )
+        truth = ground_truth_oracle_factory(full.canonical_by_rid, seed=37)
+        asked = []
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def review(self, group):
+                decision = self.inner.review(group)
+                asked.extend((m, decision) for m in group.replacements)
+                return decision
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        consolidator = StreamConsolidator(
+            column=full.column,
+            oracle_factory=lambda c: Recording(truth(c)),
+            key_attribute=full.key_column,
+            budget_per_batch=20,
+            decision_log=tmp_path / "decisions.jsonl",
+        )
+        with consolidator:
+            for batch in full.batches[:2]:
+                consolidator.process_batch(batch)
+        reopened = DecisionCache(tmp_path / "decisions.jsonl")
+        flipped = [
+            member
+            for member, decision in asked
+            if reopened.get(member).approved != decision.approved
+        ]
+        assert not flipped
+
+    def test_log_tools_keep_both_orientations(self, tmp_path):
+        from repro.stream.decision_tools import (
+            audit_log,
+            compact_log,
+            diff_logs,
+            read_log,
+        )
+
+        rows = [
+            {"lhs": "a", "rhs": "b", "approved": False},
+            {"lhs": "b", "rhs": "a", "approved": True},
+        ]
+        path = tmp_path / "decisions.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        entries, damage = read_log(path)
+        kept, dropped = compact_log(entries)
+        assert kept == entries and dropped == []
+        report = audit_log(entries, damage)
+        assert report["effective"] == 2
+        assert report["conflicts"] == [] and report["duplicates"] == []
+        # A log holding only the rejection answers b -> a differently
+        # (mirrored rejection): replay of the two logs diverges there.
+        diff = diff_logs(entries, entries[:1])
+        assert [(a.key, b.key) for a, b in diff["conflicts"]] == [
+            (("b", "a"), ("a", "b"))
+        ]
+        assert diff_logs(entries, entries) == {
+            "only_a": [],
+            "only_b": [],
+            "conflicts": [],
+        }
